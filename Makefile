@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-smoke bench-gate profile contention verify-journal scenarios
+.PHONY: check fmt vet build test race perfbench-test bench bench-smoke bench-gate profile contention verify-journal scenarios
 
-check: fmt vet build race bench-smoke bench-gate verify-journal
+check: fmt vet build race perfbench-test bench-smoke bench-gate verify-journal
 
 # -s also flags code a `gofmt -s` simplification would rewrite (vet's
 # missing sibling: composite-literal elision, redundant slice bounds, ...).
@@ -24,6 +24,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The repository benchmark's own unit tests (percentiles, ladder stop rule,
+# arrival determinism, reply validation, metric lists vs BENCHMARK.json).
+# perfbench is a nested module, so the root `go test ./...` skips it.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Queue and serving micro-benchmarks (ring buffer vs the seed's copy-shift).
 bench:

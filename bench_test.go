@@ -46,10 +46,10 @@ func (benchWaitPolicy) Feedback(float64)                 {}
 
 // BenchmarkShardedSubmit drives concurrent submitters against the serving
 // runtime at 1/4/8 queue shards and reports accepted submissions per wall
-// second. One shard is the classic data plane: every Submit serializes
-// through the dispatch lock and runs its own decision point. Sharded
-// submitters instead touch only their stripe and shard and share coalesced
-// decision sweeps, so submitted QPS scales even before extra cores help.
+// second. Every shard count takes the same submit path — a submitter
+// touches only its stripe and shard and shares coalesced decision sweeps —
+// so the rows isolate what sharding the queue itself buys: with one shard
+// every submitter contends on the same shard lock.
 // Run with a bounded iteration count (the wait policy keeps the backlog):
 //
 //	go test . -run none -bench BenchmarkShardedSubmit -benchtime 20000x
@@ -64,13 +64,13 @@ func BenchmarkShardedSubmit(b *testing.B) {
 			}
 			rt, err := infer.NewRuntime(d, benchWaitPolicy{},
 				ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
-				func(ids []uint64, payloads []any, models []string) ([]any, error) {
-					return make([]any, len(ids)), nil
-				},
 				infer.RuntimeConfig{
 					Timeline: &sim.WallTimeline{},
 					QueueCap: 1 << 30,
 					Shards:   shards,
+					Combine: func(ids []uint64, _ []any, _ []string, _ [][]any) ([]any, error) {
+						return make([]any, len(ids)), nil
+					},
 				})
 			if err != nil {
 				b.Fatal(err)

@@ -310,7 +310,9 @@ func wallClock(models []string, replicas int) float64 {
 	for i := range d.Replicas {
 		d.Replicas[i] = replicas
 	}
-	exec := func(ids []uint64, payloads []any, subset []string) ([]any, error) {
+	// The default SimBackend only paces the profiled service time; the
+	// combiner computes each batch's results at ensemble finish.
+	combine := func(ids []uint64, payloads []any, subset []string, _ [][]any) ([]any, error) {
 		out := make([]any, len(ids))
 		for i := range ids {
 			out[i] = fmt.Sprintf("prediction(%v)", payloads[i])
@@ -318,8 +320,8 @@ func wallClock(models []string, replicas int) float64 {
 		return out, nil
 	}
 	rt, err := infer.NewRuntime(d, &infer.SyncAll{D: d},
-		ensemble.NewAccuracyTable(zoo.NewPredictor(99), 2000), exec,
-		infer.RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: speedup}})
+		ensemble.NewAccuracyTable(zoo.NewPredictor(99), 2000),
+		infer.RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: speedup}, Combine: combine})
 	if err != nil {
 		log.Fatal(err)
 	}

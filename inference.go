@@ -96,45 +96,8 @@ type InferenceStats struct {
 	infer.Stats
 }
 
-// InferenceOpts tunes a deployment. Deprecated in favour of the declarative
-// DeploymentSpec (InferenceWithOpts remains as a thin wrapper): Replicas maps
-// to ReplicaBounds{Min: Replicas} and QueueCap carries over.
-type InferenceOpts struct {
-	// Replicas is how many cluster containers serve each deployed model
-	// (default 1). Throughput scales near-linearly with replicas: the
-	// engine dispatches each batch to the earliest-free replica, so R
-	// replicas keep R batches per model in flight.
-	Replicas int
-	// QueueCap bounds the deployment's request queue (default 4096).
-	// Arrivals beyond it are rejected with infer.ErrQueueFull, which the
-	// REST layer surfaces as HTTP 429 with a Retry-After hint.
-	QueueCap int
-}
-
 // maxReplicasPerModel caps replica pools against runaway scale requests.
 const maxReplicasPerModel = 64
-
-// Inference deploys trained models for serving (Figure 2's
-// rafiki.Inference(models).run()) under the default spec: greedy
-// full-ensemble policy, one replica per model, the system SLO and queue
-// bound. A thin compatibility wrapper over Deploy.
-func (s *System) Inference(models []ModelInstance) (*InferenceJob, error) {
-	return s.Deploy(DeploymentSpec{Models: models})
-}
-
-// InferenceWithOpts deploys trained models with the legacy knob set — a thin
-// wrapper translating InferenceOpts into a DeploymentSpec for Deploy. Like
-// the pre-spec API, any non-positive Replicas means the default (1).
-func (s *System) InferenceWithOpts(models []ModelInstance, opts InferenceOpts) (*InferenceJob, error) {
-	if opts.Replicas < 0 {
-		opts.Replicas = 0
-	}
-	return s.Deploy(DeploymentSpec{
-		Models:   models,
-		QueueCap: opts.QueueCap,
-		Replicas: ReplicaBounds{Min: opts.Replicas},
-	})
-}
 
 // Deploy realizes a declarative DeploymentSpec as a serving job. Deployment
 // is instant: the parameters are already in the shared parameter server —
@@ -253,7 +216,6 @@ func (s *System) deploy(spec DeploymentSpec, forceID string, forceClasses []stri
 		dep,
 		policy,
 		ensemble.NewAccuracyTable(zoo.NewPredictor(s.opts.Seed), 2000),
-		job.executeBatch,
 		infer.RuntimeConfig{
 			Timeline:       &sim.WallTimeline{Speedup: s.opts.ServeSpeedup},
 			QueueCap:       spec.QueueCap,
@@ -704,17 +666,17 @@ const (
 )
 
 // buildBackend translates a defaulted, validated backend block into the
-// runtime's execution tier. BackendSim (or no block) returns nils: the
-// runtime installs its own SimBackend and keeps computing results through the
-// legacy batch Executor, bit-identical to a pre-backend deployment. BackendNN
-// builds one deterministically seeded internal/nn network per model (system
-// seed × job ID × model name); BackendHTTP a retrying remote client. Both
-// pair with the job's vote combiner, which folds per-model class indices into
-// QueryResults.
+// runtime's execution tier and its combiner. BackendSim (or no block) returns
+// a nil backend — the runtime installs its own SimBackend, which yields no
+// predictions — paired with executeBatch, which simulates each request's
+// prediction at ensemble finish. BackendNN builds one deterministically
+// seeded internal/nn network per model (system seed × job ID × model name);
+// BackendHTTP a retrying remote client. Both pair with the job's vote
+// combiner, which folds per-model class indices into QueryResults.
 func (s *System) buildBackend(spec DeploymentSpec, job *InferenceJob) (infer.Backend, infer.CombineFunc, error) {
 	b := spec.Backend
 	if b == nil || b.Type == BackendSim {
-		return nil, nil, nil
+		return nil, job.executeBatch, nil
 	}
 	switch b.Type {
 	case BackendNN:
@@ -825,10 +787,10 @@ func classIndex(v any, n int) (int, error) {
 	return c, nil
 }
 
-// executeBatch is the job's infer.Executor: it computes the simulated
+// executeBatch is the sim tier's CombineFunc: it computes the simulated
 // prediction of every request in a dispatched batch against the model
-// subset the policy selected.
-func (j *InferenceJob) executeBatch(ids []uint64, payloads []any, models []string) ([]any, error) {
+// subset the policy selected (the SimBackend passes carry no predictions).
+func (j *InferenceJob) executeBatch(ids []uint64, payloads []any, models []string, _ [][]any) ([]any, error) {
 	out := make([]any, len(ids))
 	for i := range ids {
 		payload, ok := payloads[i].([]byte)

@@ -113,14 +113,12 @@ func runCacheBenchRow(draws []int, payloads [][]byte, digests []uint64, submitte
 	d.Replicas = []int{servingBenchReplicas, servingBenchReplicas, servingBenchReplicas}
 	rt, err := infer.NewRuntime(d, &infer.SyncAll{D: d},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
-		func(ids []uint64, payloads []any, models []string) ([]any, error) {
-			return make([]any, len(ids)), nil
-		},
 		infer.RuntimeConfig{
 			Timeline:       &sim.WallTimeline{Speedup: speedup},
 			QueueCap:       1 << 30,
 			Shards:         8,
 			DispatchGroups: 4,
+			Combine:        blankResults,
 		})
 	if err != nil {
 		return row, err

@@ -35,18 +35,18 @@ func TestServingHeapStaysFlat(t *testing.T) {
 	d.Replicas = []int{4, 4, 4}
 	rt, err := infer.NewRuntime(d, &infer.SyncAll{D: d},
 		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
-		func(ids []uint64, payloads []any, models []string) ([]any, error) {
-			out := make([]any, len(ids))
-			for i := range out {
-				out[i] = len(payloads[i].([]byte))
-			}
-			return out, nil
-		},
 		infer.RuntimeConfig{
 			Timeline:       &sim.WallTimeline{Speedup: 2000},
 			QueueCap:       1 << 20,
 			Shards:         8,
 			DispatchGroups: 4,
+			Combine: func(ids []uint64, payloads []any, _ []string, _ [][]any) ([]any, error) {
+				out := make([]any, len(ids))
+				for i := range out {
+					out[i] = len(payloads[i].([]byte))
+				}
+				return out, nil
+			},
 		})
 	if err != nil {
 		t.Fatal(err)

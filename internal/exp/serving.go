@@ -108,6 +108,12 @@ func encodeBenchPayload(p any) ([]float64, error) {
 	return x, nil
 }
 
+// blankResults is the bench runtimes' combiner: throughput is the
+// measurement, so every request resolves with a nil result.
+func blankResults(ids []uint64, _ []any, _ []string, _ [][]any) ([]any, error) {
+	return make([]any, len(ids)), nil
+}
+
 // RunServingBenchRowProcs measures one (shards, groups, gomaxprocs, backend)
 // configuration: submitters goroutines push `requests` total payloads through
 // a three-ConvNet ensemble runtime (profiled latencies at speedup× wall
@@ -141,6 +147,7 @@ func RunServingBenchRowProcs(requests, submitters, shards, groups, procs int, sp
 		// pass per request (4096 × 4 workers ≥ 16000). The pools still
 		// bound the goroutine count; only the queue is roomy.
 		ExecQueueFactor: 4096,
+		Combine:         blankResults,
 	}
 	switch backendMode {
 	case "sim":
@@ -164,11 +171,7 @@ func RunServingBenchRowProcs(requests, submitters, shards, groups, procs int, sp
 		return row, fmt.Errorf("exp: unknown bench backend %q", backendMode)
 	}
 	rt, err := infer.NewRuntime(d, &infer.SyncAll{D: d},
-		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
-		func(ids []uint64, payloads []any, models []string) ([]any, error) {
-			return make([]any, len(ids)), nil
-		},
-		cfg)
+		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), cfg)
 	if err != nil {
 		return row, err
 	}

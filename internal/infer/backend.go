@@ -80,8 +80,8 @@ type RetryCounter interface {
 // the finish instant), returns ProfiledLatency as the observed latency —
 // exactly the table value, so the latency EWMA stays pinned at ratio 1 and
 // the planning tables are bit-identical to a feedback-free engine — and
-// yields no predictions: the runtime's batch Executor computes results at
-// ensemble-finish time, as before the backend layer existed.
+// yields no predictions: the runtime's CombineFunc computes the results
+// itself at ensemble-finish time.
 type SimBackend struct {
 	mu sync.Mutex
 	tl sim.Timeline

@@ -20,7 +20,7 @@ import (
 )
 
 // newWallRuntime wires a runtime over a fast wall timeline for the backend
-// tests: 3 ConvNet models, echo executor unless cfg overrides the backend.
+// tests: 3 ConvNet models, echo combiner unless cfg overrides it.
 func newWallRuntime(t *testing.T, cfg RuntimeConfig) *Runtime {
 	t.Helper()
 	d := runtimeDeployment(t, 0.25)
@@ -30,8 +30,11 @@ func newWallRuntime(t *testing.T, cfg RuntimeConfig) *Runtime {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = 1 << 20
 	}
+	if cfg.Combine == nil {
+		cfg.Combine = echoCombine
+	}
 	rt, err := NewRuntime(d, &SyncAll{D: d},
-		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec, cfg)
+		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +99,6 @@ func TestRuntimeBackendSaturation(t *testing.T) {
 	defer rt.Close()
 	defer close(b.gate)
 
-	var saturated atomic.Int64
 	var wg sync.WaitGroup
 	futs := make(chan Future, 4096)
 	for s := 0; s < 4; s++ {
@@ -114,26 +116,38 @@ func TestRuntimeBackendSaturation(t *testing.T) {
 	}
 	wg.Wait()
 	close(futs)
-	deadline := time.Now().Add(10 * time.Second)
+	var pending []Future
 	for f := range futs {
-		select {
-		case <-f.Done():
-			if _, err := f.Wait(); errors.Is(err, ErrBackendSaturated) {
-				if !errors.Is(err, ErrQueueFull) {
-					t.Fatalf("ErrBackendSaturated must unwrap to ErrQueueFull, got %v", err)
-				}
-				saturated.Add(1)
-			}
-		default:
-			// Still parked on the gated backend — expected for the batches
-			// that made it into the pools.
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("timed out scanning futures")
-		}
+		pending = append(pending, f)
 	}
-	if saturated.Load() == 0 {
-		t.Fatalf("no future failed with ErrBackendSaturated (rejected=%d)", rt.Stats().ExecRejected)
+	// Dispatch runs on the dispatch plane, not inside Submit, so a batch can
+	// be refused after the flood returned: poll the unresolved futures until
+	// one fails saturated, within a bounded deadline. Futures still parked on
+	// the gated backend are the batches that made it into the pools.
+	saturated := 0
+	deadline := time.Now().Add(10 * time.Second)
+	for saturated == 0 {
+		waiting := pending[:0]
+		for _, f := range pending {
+			select {
+			case <-f.Done():
+				if _, err := f.Wait(); errors.Is(err, ErrBackendSaturated) {
+					if !errors.Is(err, ErrQueueFull) {
+						t.Fatalf("ErrBackendSaturated must unwrap to ErrQueueFull, got %v", err)
+					}
+					saturated++
+				}
+			default:
+				waiting = append(waiting, f)
+			}
+		}
+		pending = waiting
+		if saturated == 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("no future failed with ErrBackendSaturated (rejected=%d)", rt.Stats().ExecRejected)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 	st := rt.Stats()
 	if st.ExecRejected == 0 {
@@ -568,7 +582,7 @@ func TestRuntimeDeterministicBatchingWithBackend(t *testing.T) {
 			return out, nil
 		}
 		rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
-			nil, RuntimeConfig{Timeline: loop, Backend: b, Combine: combine})
+			RuntimeConfig{Timeline: loop, Backend: b, Combine: combine})
 		if err != nil {
 			t.Fatal(err)
 		}

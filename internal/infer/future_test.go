@@ -24,8 +24,9 @@ import (
 func TestFuturePoolStress(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 4)
 	rt, err := NewRuntime(d, &SyncAll{D: d},
-		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec,
+		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
 		RuntimeConfig{
+			Combine:  echoCombine,
 			Timeline: &sim.WallTimeline{Speedup: 2000},
 			QueueCap: 1 << 20,
 			Shards:   8, DispatchGroups: 4,
@@ -87,7 +88,7 @@ func TestFuturePoolStress(t *testing.T) {
 					t.Errorf("wait %s: %v", want, err)
 					return
 				}
-				// echoExec tags the payload with the serving subset size;
+				// echoCombine tags the payload with the serving subset size;
 				// the identity prefix must be this goroutine's own.
 				got, ok := res.(string)
 				if !ok || !strings.HasPrefix(got, want+"@") {
@@ -110,8 +111,8 @@ func TestFutureStaleHandleFailsLoudly(t *testing.T) {
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
 	rt, err := NewRuntime(d, &SyncAll{D: d},
-		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500), echoExec,
-		RuntimeConfig{Timeline: loop})
+		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
+		RuntimeConfig{Combine: echoCombine, Timeline: loop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +178,9 @@ func TestSetBackendDrainTracked(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 2)
 	old := &closeTrackingBackend{}
 	rt, err := NewRuntime(d, &SyncAll{D: d},
-		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200), echoExec,
+		ensemble.NewAccuracyTable(zoo.NewPredictor(1), 200),
 		RuntimeConfig{
+			Combine:  echoCombine,
 			Timeline: &sim.WallTimeline{Speedup: 2000},
 			Backend:  old,
 		})
@@ -196,7 +198,7 @@ func TestSetBackendDrainTracked(t *testing.T) {
 	}
 	f.Release()
 
-	if err := rt.SetBackend(nil, nil); err != nil { // swap back to the sim default
+	if err := rt.SetBackend(nil, echoCombine); err != nil { // swap back to the sim default
 		t.Fatal(err)
 	}
 	rt.Close()

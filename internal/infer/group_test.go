@@ -199,7 +199,7 @@ func TestConcurrentGroupDrainsLeaseInvariant(t *testing.T) {
 func TestGroupedRuntimeServesAllConcurrently(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 2)
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
-		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8, DispatchGroups: 4})
+		RuntimeConfig{Combine: echoCombine, Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8, DispatchGroups: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestGroupedRuntimeServesAllConcurrently(t *testing.T) {
 func TestStatsDuringLiveReshardRace(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 2)
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 200),
-		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8, DispatchGroups: 2})
+		RuntimeConfig{Combine: echoCombine, Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8, DispatchGroups: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,7 @@ func TestStatsFloodFoldsShardedMetrics(t *testing.T) {
 
 	d := replicaDeployment(t, 0.25, 4)
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
-		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 1000}, Shards: 8, DispatchGroups: 4})
+		RuntimeConfig{Combine: echoCombine, Timeline: &sim.WallTimeline{Speedup: 1000}, Shards: 8, DispatchGroups: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func replicaQPS(tb testing.TB, replicas int) float64 {
 	d := replicaDeployment(tb, 0.25, replicas)
 	loop := sim.NewEventLoop()
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(7), 500),
-		echoExec, RuntimeConfig{Timeline: loop})
+		RuntimeConfig{Combine: echoCombine, Timeline: loop})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func BenchmarkReplicaScaling(b *testing.B) {
 func TestRuntimeScaleConcurrent(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 1)
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
-		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}})
+		RuntimeConfig{Combine: echoCombine, Timeline: &sim.WallTimeline{Speedup: 200}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestRuntimeStatsReplicasAndDrain(t *testing.T) {
 	d := replicaDeployment(t, 0.5, 2)
 	loop := sim.NewEventLoop()
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(5), 500),
-		echoExec, RuntimeConfig{Timeline: loop})
+		RuntimeConfig{Combine: echoCombine, Timeline: loop})
 	if err != nil {
 		t.Fatal(err)
 	}

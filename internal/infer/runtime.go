@@ -23,13 +23,6 @@ var (
 	ErrClosed = errors.New("infer: runtime closed")
 )
 
-// Executor computes the results of one dispatched batch: ids and payloads
-// are the batch requests (parallel slices, oldest first) and models the
-// serving model subset. It must return one result per request. Executors
-// run outside the runtime locks, on executor-pool workers (or inline from
-// the finish event under a virtual-time driver).
-type Executor func(ids []uint64, payloads []any, models []string) ([]any, error)
-
 // Stats is a point-in-time snapshot of a runtime's serving metrics, safe to
 // read while the runtime keeps serving.
 type Stats struct {
@@ -133,13 +126,12 @@ type RuntimeConfig struct {
 	// MeasureFrom discards metrics before this timeline time.
 	MeasureFrom float64
 	// Backend executes each dispatched batch's per-model passes; nil
-	// defaults to SimBackend (profiled pacing, results computed by the
-	// batch Executor at ensemble finish — the pre-backend behaviour,
-	// bit-for-bit).
+	// defaults to SimBackend (profiled pacing, no predictions).
 	Backend Backend
-	// Combine folds per-model backend predictions into per-request results.
-	// Required when Backend returns predictions and no batch Executor is
-	// wired; nil falls back to the Executor.
+	// Combine folds each finished batch's per-model backend predictions
+	// into per-request results. Required: it is the runtime's only result
+	// path (over SimBackend it computes the results itself, since the
+	// predictions are all nil).
 	Combine CombineFunc
 	// ExecQueueFactor scales each model pool's bounded submit queue:
 	// capacity = factor × workers, minimum 4. A dispatch that finds its
@@ -210,8 +202,8 @@ type plane struct {
 
 // Runtime is the wall-clock driver of the dispatch Engine: goroutine-safe,
 // channel-fed, with per-request futures. Concurrent callers Submit payloads;
-// the scheduling Policy groups them into shared batches; the Executor
-// computes each batch's results when the (profiled) service time elapses.
+// the scheduling Policy groups them into shared batches; the Backend runs
+// each batch's model passes and the CombineFunc folds them into results.
 //
 // The data plane is lock-striped and, with DispatchGroups > 1, partitioned
 // into parallel dispatch planes: a submission touches only its pending-table
@@ -222,31 +214,28 @@ type plane struct {
 // and many replicas, served throughput scales with cores, not just
 // submitted throughput (DESIGN.md §10).
 //
-// With one queue shard the submitter runs its decision point synchronously
-// under plane 0's lock — exactly the pre-shard runtime, bit-for-bit. With
-// N > 1 shards, decision points are coalesced per plane: the first submitter
-// after an idle sweep schedules one via the timeline, and every submission
-// that lands while it is pending shares it.
+// Every shard count takes the same submit path (one shard is the degenerate
+// sharded case): decision points are coalesced per plane — the submitter
+// that finds its plane free runs the sweep inline, and every submission that
+// lands while a sweep is pending or running shares it. A policy error
+// poisons the runtime and reaches callers through their futures.
 //
 // Decision points mirror the Simulator's: every submission (directly or via
 // the coalesced sweep), every model freeing up, and a poll tick while
 // requests wait.
 type Runtime struct {
 	tl   sim.Timeline
-	exec Executor
 	poll float64
 	// pollConfigured records an explicit RuntimeConfig.PollInterval, which
 	// SetSLO must not overwrite with its τ-derived default.
 	pollConfigured bool
 
-	// syncExec marks a non-concurrent timeline (the virtual-time EventLoop,
-	// whose event heap is unlocked and whose callbacks fire single-threaded
-	// from Step/RunUntil): backend passes then run inline from the batch's
-	// finish event, preserving the loop's determinism, instead of on the
-	// executor pools.
-	syncExec bool
+	// runPasses starts a launched batch's model passes — the runtime's one
+	// timeline-dependent step, chosen once by NewRuntime: passesOnPools on a
+	// concurrent timeline, passesAtFinish under a virtual-time loop.
+	runPasses func(now float64, br *batchRun)
 	// pools[m] is model m's bounded worker pool (workers = replica count,
-	// live-resized on scale events); nil under syncExec.
+	// live-resized on scale events); nil under a virtual-time loop.
 	pools []*executor.Pool
 	// execQueueFactor scales each pool's submit queue; 0 means the default
 	// bound, execQueueCapDefault (the request-queue capacity at build time).
@@ -293,12 +282,12 @@ type Runtime struct {
 	workerWG sync.WaitGroup
 }
 
-// NewRuntime wires a wall-clock serving runtime for a deployment, policy and
-// executor. The accuracy table feeds Equation 7 reward accounting, exactly
-// as in the simulator.
-func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, exec Executor, cfg RuntimeConfig) (*Runtime, error) {
-	if exec == nil && (cfg.Backend == nil || cfg.Combine == nil) {
-		return nil, fmt.Errorf("infer: runtime needs an executor (or a backend with a combiner)")
+// NewRuntime wires a wall-clock serving runtime for a deployment and policy.
+// The accuracy table feeds Equation 7 reward accounting, exactly as in the
+// simulator.
+func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, cfg RuntimeConfig) (*Runtime, error) {
+	if cfg.Combine == nil {
+		return nil, fmt.Errorf("infer: runtime needs a combiner")
 	}
 	tl := cfg.Timeline
 	if tl == nil {
@@ -337,17 +326,14 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, exec Execu
 	// and bound the rate windows the same way (the simulator keeps full
 	// histories for figures; a live runtime only reads recent tails).
 	eng.SetMetricBounds(4096, 64)
-	_, concurrent := tl.(sim.ConcurrentTimeline)
 	factor := cfg.ExecQueueFactor
 	if factor < 0 {
 		factor = 0
 	}
 	r := &Runtime{
 		tl:                  tl,
-		exec:                exec,
 		poll:                poll,
 		pollConfigured:      cfg.PollInterval > 0,
-		syncExec:            !concurrent,
 		execQueueFactor:     factor,
 		execQueueCapDefault: queueCap,
 		eng:                 eng,
@@ -360,13 +346,16 @@ func NewRuntime(d *Deployment, p Policy, acc *ensemble.AccuracyTable, exec Execu
 	if tb, ok := b.(TimelineBinder); ok {
 		tb.BindTimeline(tl)
 	}
-	r.backend.Store(&backendHandle{b: b, combine: cfg.Combine, exec: exec})
-	if !r.syncExec {
+	r.backend.Store(&backendHandle{b: b, combine: cfg.Combine})
+	if _, concurrent := tl.(sim.ConcurrentTimeline); concurrent {
 		counts := eng.ReplicaCounts()
 		r.pools = make([]*executor.Pool, len(counts))
 		for m, n := range counts {
 			r.pools[m] = executor.NewPool(n, r.execQueueCap(n))
 		}
+		r.runPasses = r.passesOnPools
+	} else {
+		r.runPasses = r.passesAtFinish
 	}
 	for i := range r.stripes {
 		r.stripes[i].pending = map[uint64]*futureSlot{}
@@ -447,37 +436,11 @@ func (r *Runtime) Submit(payload any) (Future, error) {
 	}
 	st.pending[id] = s
 	st.mu.Unlock()
-
-	if r.eng.ShardCount() > 1 {
-		// Sharded mode: hand the decision point to the shard's dispatch
-		// plane via a coalesced sweep, so the submit path never serializes
-		// on a dispatch lock. A poisoning policy error reaches the caller
-		// through the future.
-		r.scheduleSweep(r.eng.GroupOf(id))
-		return f, nil
-	}
-	// Single-shard compatibility path: run the decision point synchronously
-	// under plane 0's lock (exactly the pre-shard runtime), so a policy
-	// error at this decision point surfaces from Submit itself.
-	r.ctl.RLock()
-	r.planes[0].mu.Lock()
-	err := r.stepGroup(r.tl.Now(), 0)
-	// Only launch sets br (on this goroutine, inside the stepGroup call
-	// above) — a failAll on the poison path resolves the slot without one,
-	// so this distinguishes "joined a batch" from "failed while queued".
-	dispatched := s.br != nil
-	r.planes[0].mu.Unlock()
-	r.ctl.RUnlock()
-	if err != nil {
-		// The engine failed at this decision point. If this request made it
-		// into a batch before the error, that batch still completes — hand
-		// the caller its future; the error reaches everyone else (failAll
-		// already resolved this slot with the poisoning error).
-		if dispatched {
-			return f, nil
-		}
-		return Future{}, err
-	}
+	// Hand the decision point to the shard's dispatch plane via a coalesced
+	// sweep, so the submit path never blocks on a dispatch lock. A policy
+	// error at that decision point poisons the runtime and reaches this
+	// caller through the future; the next Submit returns it.
+	r.scheduleSweep(r.eng.GroupOf(id))
 	return f, nil
 }
 
@@ -486,23 +449,19 @@ func (r *Runtime) Submit(payload any) (Future, error) {
 // sweep reads the queues, so a submission that finds it set is always
 // observed either by the pending sweep or by a successor scheduled after it.
 //
-// On a concurrent timeline the sweep runs on the plane's dedicated worker
+// When the plane is busy the sweep runs on the plane's dedicated worker
 // goroutine (one per live plane, lazily spawned, reaped by Close) — waking
 // it is a non-blocking token send, so submitters and timer callbacks never
 // block on a busy plane and the runtime's goroutine count stays
-// O(dispatch groups), not O(armed timers). Under a virtual-time loop the
-// sweep stays a zero-delay event, preserving the loop's deterministic
-// single-threaded ordering.
+// O(dispatch groups), not O(armed timers). A virtual-time loop is
+// single-threaded, so its planes are always free here: every sweep takes the
+// inline fast path, in the loop's deterministic event order.
 func (r *Runtime) scheduleSweep(g int) {
 	if g < 0 || g >= len(r.planes) {
 		g = 0
 	}
 	p := &r.planes[g]
 	if !p.sweepSet.CompareAndSwap(false, true) {
-		return
-	}
-	if r.syncExec {
-		r.tl.AfterFunc(0, func() { r.sweep(g) })
 		return
 	}
 	// Fast path: if the plane is free right now, run the sweep on this
@@ -606,39 +565,24 @@ func (r *Runtime) stepAll(now float64) error {
 }
 
 // pollTick is a plane's recurring decision point while its shards hold
-// waiting requests. On a wall timeline the timer callback only clears the
-// poll flag and wakes the plane worker — it must not block on the plane
-// lock, because every fired wall-timer callback is its own goroutine and a
-// busy plane would pin them all. The virtual-time loop steps inline, as
-// before, keeping its event ordering.
+// waiting requests. The timer callback only clears the poll flag and
+// schedules a coalesced sweep — it must not block on the plane lock,
+// because every fired wall-timer callback is its own goroutine and a busy
+// plane would pin them all.
 func (r *Runtime) pollTick(g int) {
-	p := &r.planes[g]
-	if !r.syncExec {
-		p.pollSet.Store(false)
-		if r.closed.Load() {
-			return
-		}
-		r.scheduleSweep(g)
-		return
-	}
-	r.ctl.RLock()
-	defer r.ctl.RUnlock()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.pollSet.Store(false)
+	r.planes[g].pollSet.Store(false)
 	if r.closed.Load() {
 		return
 	}
-	_ = r.stepGroup(r.tl.Now(), g)
+	r.scheduleSweep(g)
 }
 
-// backendHandle binds a backend to the combiner/executor that folds its
-// predictions, and tracks the batches in flight on it so a swap can drain
-// the old backend before closing it.
+// backendHandle binds a backend to the combiner that folds its predictions,
+// and tracks the batches in flight on it so a swap can drain the old
+// backend before closing it.
 type backendHandle struct {
 	b       Backend
 	combine CombineFunc
-	exec    Executor
 	wg      sync.WaitGroup
 }
 
@@ -733,14 +677,10 @@ func (br *batchRun) task(i int) ExecTask {
 	}
 }
 
-// launch hands a dispatched batch to the execution layer and schedules the
-// follow-up decision points at each model's profiled finish time. On a
-// concurrent timeline each model pass goes to the model's bounded pool
-// immediately (the SimBackend paces to the profiled finish; real backends
-// run for as long as they run); on a virtual-time loop the passes run
-// inline from the finish event, preserving the loop's determinism. Called
-// with ctl held (shared plus the dispatching plane's lock, or exclusively
-// on the control path).
+// launch hands a dispatched batch to the execution layer (runPasses) and
+// schedules the follow-up decision points at each model's profiled finish
+// time. Called with ctl held (shared plus the dispatching plane's lock, or
+// exclusively on the control path).
 func (r *Runtime) launch(now float64, out DispatchOutcome) {
 	bufs := batchBufsPool.Get().(*batchBufs)
 	bufs.grab(len(out.Requests), len(out.Models))
@@ -794,31 +734,42 @@ func (r *Runtime) launch(now float64, out DispatchOutcome) {
 			s.wakeWaiter()
 		}
 	}
-	if r.syncExec {
-		r.tl.AfterFunc(out.Finish-now, func() {
-			for i := range br.out.Models {
-				r.runModelPass(br, i)
-			}
-		})
-	} else {
-		for i := range out.Models {
-			// SubmitFunc + the package-level trampoline keep the hot path
-			// free of per-pass closure allocations.
-			if err := r.pools[out.Models[i]].SubmitFunc(runPassFn, br, i); err != nil {
-				r.execRejected.Add(1)
-				if errors.Is(err, executor.ErrSaturated) {
-					err = ErrBackendSaturated
-				} else {
-					err = r.closedErr()
-				}
-				br.fail(err)
-				r.passDone(br)
-			}
-		}
-	}
+	r.runPasses(now, br)
 	for _, f := range out.ModelFinish {
 		r.tl.AfterFunc(f-now, r.onFreeFn)
 	}
+}
+
+// passesOnPools submits each model pass to its model's bounded pool at once
+// (concurrent timelines): the SimBackend paces to the profiled finish; real
+// backends run for as long as they run. A pool without queue room fails the
+// batch with ErrBackendSaturated.
+func (r *Runtime) passesOnPools(_ float64, br *batchRun) {
+	for i, m := range br.out.Models {
+		// SubmitFunc + the package-level trampoline keep the hot path free
+		// of per-pass closure allocations.
+		if err := r.pools[m].SubmitFunc(runPassFn, br, i); err != nil {
+			r.execRejected.Add(1)
+			if errors.Is(err, executor.ErrSaturated) {
+				err = ErrBackendSaturated
+			} else {
+				err = r.closedErr()
+			}
+			br.fail(err)
+			r.passDone(br)
+		}
+	}
+}
+
+// passesAtFinish runs every model pass inline from the batch's finish event
+// (virtual-time loops): the loop's event heap is unlocked and its callbacks
+// fire single-threaded, so passes stay in its deterministic event order.
+func (r *Runtime) passesAtFinish(now float64, br *batchRun) {
+	r.tl.AfterFunc(br.out.Finish-now, func() {
+		for i := range br.out.Models {
+			r.runModelPass(br, i)
+		}
+	})
 }
 
 // runPassFn is the allocation-free executor trampoline for model passes:
@@ -855,27 +806,11 @@ func (r *Runtime) passDone(br *batchRun) {
 // gets a coalesced sweep. On a wall timeline this runs as a fired-timer
 // callback on its own goroutine and must not block on plane locks (each
 // blocked callback is a pinned goroutine — the source of the old bench
-// rows' 700+ goroutine peaks), so even the single-shard layout routes
-// through the plane worker; the virtual-time loop keeps the synchronous
-// single-shard step that its golden determinism is pinned to.
+// rows' 700+ goroutine peaks), which scheduleSweep guarantees.
 func (r *Runtime) onModelFree() {
-	if r.closed.Load() {
-		return
-	}
-	if r.eng.ShardCount() == 1 {
-		if !r.syncExec {
-			if r.eng.QueueLen() > 0 {
-				r.scheduleSweep(0)
-			}
-			return
-		}
-		r.ctl.RLock()
-		r.planes[0].mu.Lock()
-		if !r.closed.Load() {
-			_ = r.stepGroup(r.tl.Now(), 0)
-		}
-		r.planes[0].mu.Unlock()
-		r.ctl.RUnlock()
+	// The global backlog count is one atomic load: an empty queue skips the
+	// per-group scan entirely.
+	if r.closed.Load() || r.eng.QueueLen() == 0 {
 		return
 	}
 	for g := 0; g < r.eng.GroupCount(); g++ {
@@ -886,21 +821,17 @@ func (r *Runtime) onModelFree() {
 }
 
 // finalize folds a finished batch's model passes into per-request results
-// and resolves its futures: the handle's combiner when it has one, else the
-// batch Executor (the pre-backend path, invoked once at ensemble finish).
+// through the handle's combiner (invoked once, at ensemble finish) and
+// resolves its futures.
 func (r *Runtime) finalize(br *batchRun) {
 	defer r.inflight.Done()
 	defer br.h.wg.Done()
 	err := br.err
 	var results []any
 	if err == nil {
-		if br.h.combine != nil {
-			results, err = br.h.combine(br.ids, br.payloads, br.out.ModelNames, br.preds)
-		} else {
-			results, err = br.h.exec(br.ids, br.payloads, br.out.ModelNames)
-		}
+		results, err = br.h.combine(br.ids, br.payloads, br.out.ModelNames, br.preds)
 		if err == nil && len(results) != len(br.futs) {
-			err = fmt.Errorf("infer: executor returned %d results for a batch of %d", len(results), len(br.futs))
+			err = fmt.Errorf("infer: combiner returned %d results for a batch of %d", len(results), len(br.futs))
 		}
 	}
 	if err != nil && r.closed.Load() && errors.Is(err, context.Canceled) {
@@ -969,11 +900,14 @@ func (r *Runtime) SetPolicy(p Policy) error {
 // SetBackend swaps the execution backend on the live runtime. Queued
 // requests dispatch onto the new backend from the next decision point;
 // batches already in flight drain on the old backend, which is closed (in
-// the background) once the last of them finishes. A nil backend reinstalls
-// the default SimBackend over the runtime's batch Executor. The runtime
-// takes ownership of the backend: pass a fresh instance, not one already
-// installed.
+// the background) once the last of them finishes. A nil backend installs the
+// default SimBackend; the combiner is required, as in RuntimeConfig. The
+// runtime takes ownership of the backend: pass a fresh instance, not one
+// already installed.
 func (r *Runtime) SetBackend(b Backend, combine CombineFunc) error {
+	if combine == nil {
+		return fmt.Errorf("infer: backend swap needs a combiner")
+	}
 	r.ctl.Lock()
 	defer r.ctl.Unlock()
 	if r.closed.Load() {
@@ -981,15 +915,11 @@ func (r *Runtime) SetBackend(b Backend, combine CombineFunc) error {
 	}
 	if b == nil {
 		b = &SimBackend{}
-		combine = nil
-	}
-	if combine == nil && r.exec == nil {
-		return fmt.Errorf("infer: backend %s needs a combiner (runtime has no batch executor)", b.Name())
 	}
 	if tb, ok := b.(TimelineBinder); ok {
 		tb.BindTimeline(r.tl)
 	}
-	old := r.backend.Swap(&backendHandle{b: b, combine: combine, exec: r.exec})
+	old := r.backend.Swap(&backendHandle{b: b, combine: combine})
 	if old != nil && old.b != b {
 		// The drain rides the runtime's in-flight WaitGroup so Close cannot
 		// return before the old backend is drained and closed.
@@ -1055,9 +985,7 @@ func (r *Runtime) SetQueueCap(n int) error {
 // SetShards re-shards the live queue layer to n FIFOs: the queued backlog is
 // re-hashed in arrival order (nothing dropped or reordered within a shard),
 // the dispatch planes repartition over the new shard set, and the next
-// decision point drains the new layout. Moving between 1 and N > 1 also
-// switches the submit path between the synchronous single-shard mode and the
-// coalesced sharded mode.
+// decision point drains the new layout.
 func (r *Runtime) SetShards(n int) error {
 	r.ctl.Lock()
 	defer r.ctl.Unlock()

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -10,8 +11,9 @@ import (
 	"rafiki/internal/zoo"
 )
 
-// echoExec returns each request's payload tagged with the serving subset.
-func echoExec(ids []uint64, payloads []any, models []string) ([]any, error) {
+// echoCombine returns each request's payload tagged with the serving subset
+// size; it ignores the per-model predictions (nil under SimBackend).
+func echoCombine(ids []uint64, payloads []any, models []string, _ [][]any) ([]any, error) {
 	out := make([]any, len(ids))
 	for i := range ids {
 		out[i] = fmt.Sprintf("%v@%d", payloads[i], len(models))
@@ -37,7 +39,7 @@ func TestRuntimeDeterministicBatching(t *testing.T) {
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
-		echoExec, RuntimeConfig{Timeline: loop})
+		RuntimeConfig{Combine: echoCombine, Timeline: loop})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +101,7 @@ func TestRuntimeDeterministicBatching(t *testing.T) {
 	// Rerun: identical submission schedule must reproduce identical stats.
 	loop2 := sim.NewEventLoop()
 	rt2, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
-		echoExec, RuntimeConfig{Timeline: loop2})
+		RuntimeConfig{Combine: echoCombine, Timeline: loop2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +126,7 @@ func TestRuntimeDeterministicBatching(t *testing.T) {
 func TestRuntimeConcurrentWallClock(t *testing.T) {
 	d := runtimeDeployment(t, 0.25)
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(2), 500),
-		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 50}})
+		RuntimeConfig{Combine: echoCombine, Timeline: &sim.WallTimeline{Speedup: 50}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,28 +174,44 @@ func TestRuntimeConcurrentWallClock(t *testing.T) {
 
 // TestRuntimePoisonsOnPolicyError: an invalid policy action must fail the
 // stranded futures AND close the runtime, so later submissions cannot batch
-// with orphaned queue entries.
+// with orphaned queue entries. The contract is the same at every shard
+// count: the queued caller gets its future, the policy error reaches it
+// through that future, and the poisoned runtime's next Submit (and control
+// call) returns the policy error, not ErrClosed.
 func TestRuntimePoisonsOnPolicyError(t *testing.T) {
-	d := runtimeDeployment(t, 0.5)
-	loop := sim.NewEventLoop()
-	rt, err := NewRuntime(d, &badPolicy{act: Action{Batch: 3, Models: []int{0}}},
-		ensemble.NewAccuracyTable(zoo.NewPredictor(4), 200),
-		echoExec, RuntimeConfig{Timeline: loop})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var fut Future
-	var subErr error
-	loop.Schedule(0, func() { fut, subErr = rt.Submit("doomed") })
-	loop.RunUntil(5)
-	if subErr == nil {
-		t.Fatal("invalid action should surface from Submit")
-	}
-	if fut.Valid() {
-		t.Fatal("no future should be handed out for a poisoned submission")
-	}
-	if _, err := rt.Submit("after"); err == nil || err == ErrClosed {
-		t.Fatalf("poisoned runtime Submit err = %v, want the policy error", err)
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			d := runtimeDeployment(t, 0.5)
+			loop := sim.NewEventLoop()
+			rt, err := NewRuntime(d, &badPolicy{act: Action{Batch: 3, Models: []int{0}}},
+				ensemble.NewAccuracyTable(zoo.NewPredictor(4), 200),
+				RuntimeConfig{Combine: echoCombine, Timeline: loop, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var fut Future
+			var subErr error
+			loop.Schedule(0, func() { fut, subErr = rt.Submit("doomed") })
+			loop.RunUntil(5)
+			if subErr != nil {
+				t.Fatalf("Submit err = %v, want a future carrying the policy error", subErr)
+			}
+			select {
+			case <-fut.Done():
+			default:
+				t.Fatal("queued future unresolved after the policy error")
+			}
+			_, polErr := fut.Wait()
+			if polErr == nil || errors.Is(polErr, ErrClosed) {
+				t.Fatalf("queued future err = %v, want the policy error", polErr)
+			}
+			if _, err := rt.Submit("after"); !errors.Is(err, polErr) {
+				t.Fatalf("poisoned runtime Submit err = %v, want the policy error %v", err, polErr)
+			}
+			if err := rt.SetSLO(1); !errors.Is(err, polErr) {
+				t.Fatalf("poisoned runtime SetSLO err = %v, want the policy error (runtime closed)", err)
+			}
+		})
 	}
 }
 
@@ -202,7 +220,7 @@ func TestRuntimeQueueFull(t *testing.T) {
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 200),
-		echoExec, RuntimeConfig{Timeline: loop, QueueCap: 4})
+		RuntimeConfig{Combine: echoCombine, Timeline: loop, QueueCap: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +253,7 @@ func TestRuntimeLiveReconfiguration(t *testing.T) {
 	d := runtimeDeployment(t, 0.5)
 	loop := sim.NewEventLoop()
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
-		echoExec, RuntimeConfig{Timeline: loop, QueueCap: 8})
+		RuntimeConfig{Combine: echoCombine, Timeline: loop, QueueCap: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func TestEngineBacklogs(t *testing.T) {
 func TestShardedRuntimeFairnessRace(t *testing.T) {
 	d := replicaDeployment(t, 0.25, 2)
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 500),
-		echoExec, RuntimeConfig{Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8})
+		RuntimeConfig{Combine: echoCombine, Timeline: &sim.WallTimeline{Speedup: 200}, Shards: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,15 +230,15 @@ func TestShardedRuntimeFairnessRace(t *testing.T) {
 }
 
 // TestShardedRuntimeDeterministicEventLoop drives an 8-shard runtime over
-// the virtual-time EventLoop: the coalesced sweep is an ordinary timeline
-// event, so the sharded data plane replays deterministically and still
-// groups requests into shared batches.
+// the virtual-time EventLoop: every coalesced sweep runs inline in the
+// loop's single-threaded event order, so the sharded data plane replays
+// deterministically and still groups requests into shared batches.
 func TestShardedRuntimeDeterministicEventLoop(t *testing.T) {
 	run := func() Stats {
 		d := replicaDeployment(t, 0.5, 1)
 		loop := sim.NewEventLoop()
 		rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
-			echoExec, RuntimeConfig{Timeline: loop, Shards: 8})
+			RuntimeConfig{Combine: echoCombine, Timeline: loop, Shards: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestShardedRuntimeQueueFullAndReshard(t *testing.T) {
 	d := replicaDeployment(t, 0.5, 1)
 	loop := sim.NewEventLoop()
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(3), 200),
-		echoExec, RuntimeConfig{Timeline: loop, QueueCap: 4, Shards: 4})
+		RuntimeConfig{Combine: echoCombine, Timeline: loop, QueueCap: 4, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestFutureModelsPerFutureCopy(t *testing.T) {
 	d := replicaDeployment(t, 0.5, 1)
 	loop := sim.NewEventLoop()
 	rt, err := NewRuntime(d, &SyncAll{D: d}, ensemble.NewAccuracyTable(zoo.NewPredictor(1), 500),
-		echoExec, RuntimeConfig{Timeline: loop})
+		RuntimeConfig{Combine: echoCombine, Timeline: loop})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package predcache
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"rafiki/internal/sim"
 	"rafiki/internal/workload"
@@ -194,14 +196,17 @@ func TestSingleflightExactlyOneSubmit(t *testing.T) {
 		}(i)
 	}
 	close(started)
-	// Let goroutines pile onto the flight, then release the leader.
-	for {
-		c.shardFor(key).mu.Lock()
-		n := len(c.shardFor(key).flights)
-		c.shardFor(key).mu.Unlock()
-		if n > 0 {
-			break
+	// Release the leader only once every goroutine has joined its flight.
+	// Each miss is counted under the shard lock that also creates or joins
+	// the flight, and the flight outlives the held compute, so 1 + waiters
+	// misses means the leader plus waiters-1 goroutines parked on it — none
+	// can arrive after the store and read a Hit instead.
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Snapshot().Misses < 1+waiters {
+		if time.Now().After(deadline) {
+			t.Fatalf("misses = %d, want %d before releasing the leader", c.Snapshot().Misses, 1+waiters)
 		}
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
@@ -224,8 +229,8 @@ func TestSingleflightExactlyOneSubmit(t *testing.T) {
 		t.Fatalf("singleflight leaders = %d, want 1", leaders)
 	}
 	st := c.Snapshot()
-	if st.Collapsed == 0 {
-		t.Fatalf("collapsed counter = 0, want > 0")
+	if st.Collapsed != waiters-1 {
+		t.Fatalf("collapsed counter = %d, want %d (every non-leader joins the flight)", st.Collapsed, waiters-1)
 	}
 }
 

@@ -44,8 +44,8 @@ type ReplicaBounds struct {
 //
 // Zero values mean defaults (greedy policy, the system's ServeSLO, a
 // 4096-slot queue, one replica per model, no autoscaling), so
-// Deploy(DeploymentSpec{Models: models}) reproduces the classic
-// Inference(models) deployment exactly.
+// Deploy(DeploymentSpec{Models: models}) is the paper's Figure 2
+// rafiki.Inference(models) deployment.
 type DeploymentSpec struct {
 	// Models are the trained instances to deploy. Immutable after
 	// deployment: a reconcile may leave it empty (keep the deployed set) but
